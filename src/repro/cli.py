@@ -46,10 +46,12 @@ completed; see ``quarantine.json``); 9 benchmark regression detected by
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable
 
 from repro.errors import (
+    ConfigurationError,
     DeadlineExceededError,
     FaultConfigError,
     OverloadedError,
@@ -101,6 +103,32 @@ _EXPERIMENTS: dict[str, str] = {
     "geoblocking": "§2 claim: home-content geo-blocking prevalence over Starlink",
     "overload": "Overload sweep: availability/shedding vs offered-load multiplier",
 }
+
+
+def _checked(flag: str, convert: Callable, ok: Callable, rule: str) -> Callable:
+    """An argparse ``type`` that also enforces a value range.
+
+    Text ``convert`` cannot read is argparse's own usage error. A value out
+    of range raises :class:`~repro.errors.ConfigurationError` while the
+    arguments are parsed, before any experiment work runs, which
+    :func:`main` maps to a one-line message and exit 2.
+    """
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ConfigurationError(f"{flag} must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in usage errors
+    return parse
+
+
+_SEED_ARG = _checked("--seed", int, lambda v: v >= 0, "a non-negative integer")
+
+
+def _count_arg(flag: str) -> Callable:
+    return _checked(flag, int, lambda v: v >= 1, "a positive integer")
 
 
 def _parse_fractions(text: str) -> tuple[float, ...]:
@@ -511,13 +539,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_cmd = sub.add_parser("run", help="run one experiment and print its rows")
     run_cmd.add_argument("experiment", choices=sorted(_EXPERIMENTS))
-    run_cmd.add_argument("--seed", type=int, default=7)
-    run_cmd.add_argument("--tests-per-city", type=int, default=30)
-    run_cmd.add_argument("--samples", type=int, default=25)
-    run_cmd.add_argument("--rounds", type=int, default=3)
-    run_cmd.add_argument("--users", type=int, default=20)
-    run_cmd.add_argument("--epochs", type=int, default=5)
-    run_cmd.add_argument("--requests", type=int, default=150)
+    run_cmd.add_argument("--seed", type=_SEED_ARG, default=7)
+    for flag, default in (
+        ("--tests-per-city", 30),
+        ("--samples", 25),
+        ("--rounds", 3),
+        ("--users", 20),
+        ("--epochs", 5),
+        ("--requests", 150),
+    ):
+        run_cmd.add_argument(flag, type=_count_arg(flag), default=default)
     run_cmd.add_argument(
         "--fractions",
         default="0.0,0.1,0.3",
@@ -556,7 +587,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_cmd.add_argument(
         "--deadline-ms",
-        type=float,
+        type=_checked(
+            "--deadline-ms",
+            float,
+            lambda v: math.isfinite(v) and v >= 0,
+            "a finite number >= 0",
+        ),
         default=1500.0,
         help="end-to-end deadline budget per request in the overload sweep; "
         "0 disables deadline enforcement",
@@ -730,8 +766,10 @@ def build_parser() -> argparse.ArgumentParser:
     timeline_cmd.set_defaults(func=_cmd_obs_timeline)
 
     aim_cmd = sub.add_parser("aim", help="generate and export the synthetic AIM dataset")
-    aim_cmd.add_argument("--seed", type=int, default=7)
-    aim_cmd.add_argument("--tests-per-city", type=int, default=30)
+    aim_cmd.add_argument("--seed", type=_SEED_ARG, default=7)
+    aim_cmd.add_argument(
+        "--tests-per-city", type=_count_arg("--tests-per-city"), default=30
+    )
     aim_cmd.add_argument("--format", choices=("csv", "json"), default="csv")
     aim_cmd.add_argument("--out", required=True)
     aim_cmd.set_defaults(func=_cmd_aim)
@@ -742,8 +780,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except RunInterruptedError as exc:
         print(f"interrupted: {exc}", file=sys.stderr)

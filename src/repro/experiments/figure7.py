@@ -130,7 +130,8 @@ def _epoch_rtt_samples_scalar(
         )
         access_ms = access_latency_ms(access.slant_range_km)
         hops, lats = fastcore.single_source(
-            snapshot.core, access.index, snapshot.active_mask
+            snapshot.core, access.index, snapshot.active_mask,
+            max_hops=max(hop_counts),
         )
         for n in hop_counts:
             at_n = lats[hops == n]

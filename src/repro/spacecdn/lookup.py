@@ -34,15 +34,16 @@ def nearest_cached_satellite(
 ) -> tuple[int, int, float] | None:
     """(satellite, hops, one-way ISL ms) of the cheapest in-range cache.
 
-    One vectorised pass over the CSR core: hop counts bound the candidate
-    set, latency picks the winner (lowest index on exact ties). Satellites
+    One hop-bounded routing pass over the CSR core (the same kernel the
+    batched serve path uses): hop counts bound the candidate set, latency
+    picks the winner (lowest index on exact ties). Satellites
     outside the snapshot (or failed) never qualify. Returns ``None`` when
     no cache is within ``max_hops``.
     """
     if not cache_satellites:
         return None
     hops, latencies = fastcore.single_source(
-        snapshot.core, access_satellite, snapshot.active_mask
+        snapshot.core, access_satellite, snapshot.active_mask, max_hops=max_hops
     )
     return nearest_cached_from_rows(
         hops, latencies, cache_satellites, max_hops, min_hops
@@ -133,7 +134,7 @@ def ranked_cached_satellites(
     if not cache_satellites:
         return []
     hops, latencies = fastcore.single_source(
-        snapshot.core, access_satellite, snapshot.active_mask
+        snapshot.core, access_satellite, snapshot.active_mask, max_hops=max_hops
     )
     return ranked_cached_from_rows(
         hops, latencies, cache_satellites, max_hops, min_hops, exclude

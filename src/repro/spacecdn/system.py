@@ -1337,7 +1337,7 @@ class SpaceCdnSystem:
         seen_acc = sorted({int(a) for a in acc_of_u if a >= 0})
         if seen_acc:
             hops_m, lats_m = fastcore.single_source_batch(
-                core, seen_acc, snapshot.active_mask
+                core, seen_acc, snapshot.active_mask, max_hops=self.max_hops
             )
         else:
             hops_m = np.empty((0, n), dtype=np.int32)
@@ -1552,7 +1552,7 @@ class SpaceCdnSystem:
         row_of_acc: dict[int, int] = {}
         if accs:
             hops_m, lats_m = fastcore.single_source_batch(
-                degraded.core, accs, degraded.active_mask
+                degraded.core, accs, degraded.active_mask, max_hops=self.max_hops
             )
             row_of_acc = {a: i for i, a in enumerate(accs)}
         for r in range(len(object_ids)):
@@ -1614,7 +1614,7 @@ class SpaceCdnSystem:
         row_of_acc: dict[int, int] = {}
         if accs:
             hops_m, lats_m = fastcore.single_source_batch(
-                degraded.core, accs, degraded.active_mask
+                degraded.core, accs, degraded.active_mask, max_hops=self.max_hops
             )
             row_of_acc = {a: i for i, a in enumerate(accs)}
         for r in range(len(object_ids)):

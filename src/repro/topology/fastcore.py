@@ -9,6 +9,9 @@ array kernels instead of per-query ``networkx`` traversals:
 
 * :func:`hop_distances_batch` — BFS levels from many sources at once;
 * :func:`latency_batch` — one-way Dijkstra latencies from many sources;
+* :func:`single_source_batch` with ``max_hops`` — hop-bounded routing rows,
+  exact on every satellite within ``max_hops`` ISL hops and blank beyond,
+  the serve-path primitive (the Fig. 6 ladder never looks further);
 * :func:`hop_ladder_batch` — the Fig. 7 "cheapest satellite at exactly
   h hops" ladder for many sources;
 * :func:`nearest_hops` — multi-source BFS (hops to the nearest of a
@@ -57,6 +60,17 @@ HOP_UNREACHABLE = -1
 
 _MEMO_MAX_SOURCES = 256
 """Cap on per-snapshot memoised single-source results (~3 MB at Shell-1)."""
+
+_BOUNDED_BALL_SHARE = 0.2
+"""Largest share of the satellites a hop ball may hold for its latency pass
+to be limited. Past about a fifth of Shell 1, working out the limit costs
+more than the Dijkstra work it saves, so such sources run unbounded (any
+limit at or above the bound is exact, ``inf`` included)."""
+
+_LIMIT_QUANTUM_MS = 1.0
+"""Grid the per-source Dijkstra latency limits are rounded up to, so sources
+whose hop balls hold similar links share one call. A power of two: the
+rounding ``ceil(x / q) * q`` is exact and never lands below ``x``."""
 
 
 @dataclass(frozen=True)
@@ -374,6 +388,13 @@ def _distances(
     return dist
 
 
+def _levels_to_hops(levels: np.ndarray) -> np.ndarray:
+    hops = np.full(levels.shape, HOP_UNREACHABLE, dtype=np.int32)
+    reachable = np.isfinite(levels)
+    hops[reachable] = levels[reachable].astype(np.int32)
+    return hops
+
+
 def latency_batch(
     core: CsrSnapshot,
     sources: Sequence[int] | np.ndarray,
@@ -401,11 +422,9 @@ def hop_distances_batch(
     hold :data:`HOP_UNREACHABLE`.
     """
     with get_recorder().timer("fastcore.hop_distances_batch"):
-        levels = _distances(core, sources, active, weighted=False, method=method)
-        hops = np.full(levels.shape, HOP_UNREACHABLE, dtype=np.int32)
-        reachable = np.isfinite(levels)
-        hops[reachable] = levels[reachable].astype(np.int32)
-        return hops
+        return _levels_to_hops(
+            _distances(core, sources, active, weighted=False, method=method)
+        )
 
 
 def nearest_hops(
@@ -424,10 +443,111 @@ def nearest_hops(
         levels = _distances(
             core, target_arr, active, weighted=False, method=method, min_only=True
         )[0]
-        hops = np.full(levels.shape, HOP_UNREACHABLE, dtype=np.int32)
-        reachable = np.isfinite(levels)
-        hops[reachable] = levels[reachable].astype(np.int32)
-        return hops
+        return _levels_to_hops(levels)
+
+
+def _check_max_hops(max_hops: int | None) -> None:
+    if max_hops is not None and max_hops < 0:
+        raise RoutingError(f"max_hops must be non-negative, got {max_hops}")
+
+
+def _latency_limits(core: CsrSnapshot, hops: np.ndarray) -> np.ndarray:
+    """Per-source Dijkstra limit covering every latency inside the hop ball.
+
+    ``hops`` are the sources' BFS rows, cut at the ball's radius. Level by
+    level, ``along[v]`` is the latency of the cheapest *min-hop* path to
+    ``v``: the minimum, over live neighbours one level nearer, of
+    ``along[u] + w(u, v)``. That is the latency of a real path, so the
+    shortest latency to ``v`` is at most it (Dijkstra's float sums are at
+    most this path's float sum, by induction and monotone rounding). The
+    largest ``along`` over the ball, plus a relative epsilon, therefore
+    bounds every in-ball shortest latency. It is far tighter than
+    ``max_hops`` times the longest link for sources next to the long
+    cross-seam links.
+    """
+    topo = core.topology
+    n = hops.shape[1]
+    flat = hops.ravel()
+    at = np.flatnonzero(flat > 0)
+    level = flat[at]
+    order = np.argsort(level, kind="stable")
+    at, level = at[order], level[order]
+    node = at % n
+    # (ball entry, neighbour slot): the neighbour's flat index and the
+    # link's weight, ``inf`` unless the link is live and steps one level in.
+    nbr_at = (at - node)[:, None] + topo.neighbors[node]
+    link = topo.neighbor_link[node]
+    inward = (link >= 0) & (flat[nbr_at] == (level - 1)[:, None])
+    if core.link_active is not None:
+        inward &= core.link_active[link]
+    weight = np.where(inward, core.link_latency_ms[link], np.inf)
+    along = np.zeros(flat.shape)
+    cuts = np.searchsorted(level, np.arange(1, int(level.max(initial=0)) + 2))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        along[at[lo:hi]] = (along[nbr_at[lo:hi]] + weight[lo:hi]).min(axis=1)
+    bound = along.reshape(hops.shape).max(axis=1) * (1.0 + 1e-9)
+    return np.ceil(bound / _LIMIT_QUANTUM_MS) * _LIMIT_QUANTUM_MS
+
+
+def _bounded_rows(
+    core: CsrSnapshot,
+    sources,
+    active,
+    max_hops: int,
+    method: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(hops, latencies) rows exact within ``max_hops``, blank beyond.
+
+    Every satellite within ``max_hops`` ISL hops carries the same hop count
+    and the same latency, bit for bit, as the unbounded kernels give it;
+    every other satellite holds :data:`HOP_UNREACHABLE` / ``inf``. The scipy
+    backend stops both passes at the ball: a BFS cut at ``max_hops``, then
+    Dijkstra cut at :func:`_latency_limits` (with positive weights, every
+    distance at or below the limit is the unbounded run's distance, found
+    by the same relaxations), one call per distinct limit. The numpy
+    backend relaxes in full and blanks.
+    """
+    with get_recorder().timer("fastcore.bounded_rows"):
+        mask = _as_active(core, active)
+        src = _as_sources(core, sources, mask)
+        if _pick_method(method) == "numpy":
+            hops = _levels_to_hops(
+                _numpy_relax(core, src, mask, weighted=False, min_only=False)
+            )
+            lats = _numpy_relax(core, src, mask, weighted=True, min_only=False)
+        else:
+            # One graph serves both passes: ``unweighted`` ignores weights.
+            graph = _scipy_graph(core, mask, weighted=True)
+            levels = _scipy_dijkstra(
+                graph, indices=src, unweighted=True, limit=max_hops + 0.5
+            )
+            hops = _levels_to_hops(np.atleast_2d(levels))
+            limits = np.full(len(src), np.inf)
+            small = (hops != HOP_UNREACHABLE).sum(axis=1) < (
+                _BOUNDED_BALL_SHARE * core.num_nodes
+            )
+            if small.any():
+                limits[small] = _latency_limits(core, hops[small])
+            lats = np.empty(hops.shape)
+            for limit in np.unique(limits):
+                rows = np.flatnonzero(limits == limit)
+                lats[rows] = _scipy_dijkstra(graph, indices=src[rows], limit=limit)
+        if mask is not None:
+            hops[:, ~mask] = HOP_UNREACHABLE
+        outside = (hops == HOP_UNREACHABLE) | (hops > max_hops)
+        hops[outside] = HOP_UNREACHABLE
+        lats[outside] = np.inf
+        return hops, lats
+
+
+def _routing_rows(
+    core: CsrSnapshot, sources, active, method: str, max_hops: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (hops, latencies) rows, unbounded or hop-bounded."""
+    if max_hops is None:
+        hops = hop_distances_batch(core, sources, active, method)
+        return hops, latency_batch(core, sources, active, method)
+    return _bounded_rows(core, sources, active, max_hops, method)
 
 
 def single_source(
@@ -435,24 +555,30 @@ def single_source(
     source: int,
     active: np.ndarray | None = None,
     method: str = "auto",
+    max_hops: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(hop counts, latencies) from one source — memoised per snapshot.
 
-    The memo only applies to undegraded queries; degraded (masked) queries
-    are computed fresh since failure sets vary per call.
+    With ``max_hops`` the rows are hop-bounded (see :func:`_bounded_rows`):
+    exact within ``max_hops`` hops, :data:`HOP_UNREACHABLE` / ``inf``
+    beyond. The memo is keyed on ``(source, method, max_hops)`` so bounded
+    and unbounded rows never mix, and only applies to undegraded queries;
+    degraded (masked) queries are computed fresh since failure sets vary
+    per call.
     """
+    _check_max_hops(max_hops)
+    key = (int(source), method, max_hops)
     if active is None:
-        memo = core._memo
-        cached = memo.get((int(source), method))
+        cached = core._memo.get(key)
         if cached is not None:
             return cached
-    hops = hop_distances_batch(core, [source], active, method)[0]
-    lats = latency_batch(core, [source], active, method)[0]
+    hops, lats = _routing_rows(core, [source], active, method, max_hops)
+    pair = (hops[0], lats[0])
     if active is None:
         if len(core._memo) >= _MEMO_MAX_SOURCES:
             core._memo.clear()
-        core._memo[(int(source), method)] = (hops, lats)
-    return hops, lats
+        core._memo[key] = pair
+    return pair
 
 
 def single_source_batch(
@@ -460,12 +586,13 @@ def single_source_batch(
     sources: Sequence[int] | np.ndarray,
     active: np.ndarray | None = None,
     method: str = "auto",
+    max_hops: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked :func:`single_source` rows for many sources at once.
 
     Returns ``(hops, latencies)`` of shapes ``(len(sources), N)``; row ``i``
-    is bit-identical to ``single_source(core, sources[i], active, method)``
-    (both backends compute each source row independently).
+    is bit-identical to ``single_source(core, sources[i], active, method,
+    max_hops)`` (both backends compute each source row independently).
 
     Unmasked queries share :func:`single_source`'s per-snapshot memo —
     rows already computed by scalar callers are reused, rows computed here
@@ -474,30 +601,28 @@ def single_source_batch(
     over all sources: this is precisely the per-request recompute the
     scalar chaos path pays ``len(sources)`` times over.
     """
+    _check_max_hops(max_hops)
     mask = _as_active(core, active)
     src = _as_sources(core, sources, mask)
     if mask is not None:
-        hops = hop_distances_batch(core, src, mask, method)
-        lats = latency_batch(core, src, mask, method)
-        return hops, lats
+        return _routing_rows(core, src, mask, method, max_hops)
 
     memo = core._memo
     rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     unique = list(dict.fromkeys(int(s) for s in src))
     for s in unique:
-        cached = memo.get((s, method))
+        cached = memo.get((s, method, max_hops))
         if cached is not None:
             rows[s] = cached
     missing = [s for s in unique if s not in rows]
     if missing:
-        hop_rows = hop_distances_batch(core, missing, None, method)
-        lat_rows = latency_batch(core, missing, None, method)
+        hop_rows, lat_rows = _routing_rows(core, missing, None, method, max_hops)
         for i, s in enumerate(missing):
             pair = (hop_rows[i], lat_rows[i])
             rows[s] = pair
             if len(memo) >= _MEMO_MAX_SOURCES:
                 memo.clear()
-            memo[(s, method)] = pair
+            memo[(s, method, max_hops)] = pair
     n = core.num_nodes
     hops = np.empty((len(src), n), dtype=np.int32)
     lats = np.empty((len(src), n), dtype=np.float64)
@@ -521,19 +646,17 @@ def hop_ladder_batch(
     the cheapest one-way latency from ``sources[s]`` to a satellite exactly
     ``h`` ISL hops away (``NaN`` when no satellite sits at that hop count).
     Column 0 is always 0.0 for reachable sources — content on the access
-    satellite itself.
+    satellite itself. Only satellites within ``max_hops`` count, so the
+    hop-bounded rows carry everything the ladder reads.
     """
-    if max_hops < 0:
-        raise RoutingError(f"max_hops must be non-negative, got {max_hops}")
-    # The nested hop/latency kernels charge their own profile sites; this
-    # site therefore reports the whole ladder including those legs.
+    _check_max_hops(max_hops)
+    # The nested bounded-rows kernel charges its own profile site; this
+    # site therefore reports the whole ladder including that leg.
     with get_recorder().timer("fastcore.hop_ladder_batch"):
-        hops = hop_distances_batch(core, sources, active, method)
-        lats = latency_batch(core, sources, active, method)
+        hops, lats = _bounded_rows(core, sources, active, max_hops, method)
         num_sources = hops.shape[0]
         width = max_hops + 1
-        valid = (hops >= 0) & (hops <= max_hops) & np.isfinite(lats)
-        s_idx, node_idx = np.nonzero(valid)
+        s_idx, node_idx = np.nonzero(hops != HOP_UNREACHABLE)
         keys = s_idx * width + hops[s_idx, node_idx]
         flat = np.full(num_sources * width, np.inf)
         np.minimum.at(flat, keys, lats[s_idx, node_idx])

@@ -271,6 +271,37 @@ class TestExitCodes:
         assert code == EXIT_ERROR == 2
         assert "--resume requires --out-dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "table1", "--seed", "-1"], "--seed must be a non-negative"),
+            (["run", "chaos", "--deadline-ms", "-5"], "--deadline-ms must be a finite"),
+            (["run", "overload", "--deadline-ms", "nan"], "--deadline-ms must be a finite"),
+            (["run", "figure7", "--samples", "0"], "--samples must be a positive"),
+            (["run", "figure8", "--users", "-2"], "--users must be a positive"),
+            (["aim", "--seed", "-1", "--out", "x.csv"], "--seed must be a non-negative"),
+        ],
+    )
+    def test_out_of_range_flags_exit_2_before_any_work(
+        self, argv, message, capsys, monkeypatch
+    ):
+        import repro.cli as cli_module
+
+        def never(name, args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli_module, "_run_experiment", never)
+        assert main(argv) == EXIT_ERROR == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_zero_deadline_still_means_disabled(self):
+        args = build_parser().parse_args(
+            ["run", "overload", "--deadline-ms", "0", "--seed", "0"]
+        )
+        assert args.deadline_ms == 0.0 and args.seed == 0
+
     def test_new_exit_codes_are_distinct(self):
         codes = {
             EXIT_ERROR,

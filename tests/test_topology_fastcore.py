@@ -10,6 +10,8 @@ may sum path weights in different orders).
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from repro.orbits.visibility import (
 from repro.orbits.walker import build_walker_delta
 from repro.topology import fastcore
 from repro.topology.graph import build_snapshot
+from repro.topology.isl import nearest_cross_plane_offset
 from repro.topology.routing import (
     hop_distances,
     hop_distances_reference,
@@ -140,6 +143,137 @@ class TestBackendAgreement:
             fastcore.latency_batch(core, sources, mask, method="scipy"),
             atol=LATENCY_ATOL,
         )
+
+
+BACKENDS = ["numpy", "scipy"] if fastcore.HAVE_SCIPY else ["numpy"]
+
+
+def _seam_satellites(config: ShellConfig) -> list[int]:
+    """Satellites in the first and last plane: the ends of the seam links."""
+    per = config.sats_per_plane
+    last = (config.num_planes - 1) * per
+    return list(range(per)) + list(range(last, last + per))
+
+
+@st.composite
+def bounded_cases(draw):
+    """A random (core, sources, active mask, max_hops, backend) scenario.
+
+    The core is optionally degraded (cut ISLs, latency multipliers), the
+    mask fails a random subset of satellites, and sources are drawn from
+    the seam planes half of the time.
+    """
+    num_planes = draw(st.integers(3, 7))
+    sats_per_plane = draw(st.integers(3, 8))
+    config = _shell(num_planes, sats_per_plane, draw(st.integers(0, 10)))
+    t_s = draw(st.floats(0.0, 5700.0, allow_nan=False, allow_infinity=False))
+    core = fastcore.build_core(build_walker_delta(config), t_s)
+    e = core.topology.num_links
+    if draw(st.booleans()):
+        cut = draw(st.sets(st.integers(0, e - 1), max_size=e // 4))
+        mult = np.asarray(draw(st.lists(st.floats(1.0, 50.0), min_size=e, max_size=e)))
+        core = fastcore.degrade_core(core, mult, cut)
+    n = core.num_nodes
+    pool = _seam_satellites(config) if draw(st.booleans()) else list(range(n))
+    sources = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    active = None
+    if draw(st.booleans()):
+        active = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        active[sources] = True
+    max_hops = draw(st.integers(0, 10))
+    method = draw(st.sampled_from(BACKENDS))
+    return core, sources, active, max_hops, method
+
+
+def _assert_bounded_matches(core, sources, active, max_hops, method):
+    full_hops, full_lats = fastcore.single_source_batch(
+        core, sources, active, method
+    )
+    hops, lats = fastcore.single_source_batch(
+        core, sources, active, method, max_hops=max_hops
+    )
+    inside = (full_hops != fastcore.HOP_UNREACHABLE) & (full_hops <= max_hops)
+    np.testing.assert_array_equal(hops[inside], full_hops[inside])
+    np.testing.assert_array_equal(lats[inside], full_lats[inside])
+    assert np.all(hops[~inside] == fastcore.HOP_UNREACHABLE)
+    assert np.all(np.isinf(lats[~inside]))
+    return hops, lats, full_lats, inside
+
+
+class TestBoundedRows:
+    """Hop-bounded rows equal the unbounded rows bit for bit in the ball."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(bounded_cases())
+    def test_equal_to_unbounded_within_radius(self, case):
+        # The small random shells put most balls over the share past which
+        # the latency pass runs unbounded; lift it so every ball smaller
+        # than the whole graph takes the limited path.
+        with mock.patch.object(fastcore, "_BOUNDED_BALL_SHARE", 1.0):
+            _assert_bounded_matches(*case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(bounded_cases())
+    def test_latency_limit_covers_the_ball(self, case):
+        core, sources, active, max_hops, method = case
+        hops, _, full_lats, inside = _assert_bounded_matches(*case)
+        limits = fastcore._latency_limits(core, hops)
+        widest = np.where(inside, full_lats, 0.0).max(axis=1)
+        assert np.all(limits >= widest)
+
+    @pytest.mark.parametrize("method", BACKENDS)
+    @pytest.mark.parametrize("max_hops", [0, 1, 6, 10])
+    def test_shell1_seam_sources(self, shell1, shell1_snapshot, method, max_hops):
+        """Shell-1 sources on both sides of the ~29 ms cross-seam links."""
+        seam = _seam_satellites(shell1)
+        sources = seam[:3] + seam[-3:] + [800]
+        _assert_bounded_matches(
+            shell1_snapshot.core, sources, None, max_hops, method
+        )
+
+    @pytest.mark.parametrize("method", BACKENDS)
+    def test_cheapest_path_longer_than_radius(self, small_shell, method):
+        """A 1-hop neighbour whose cheapest route is a 3-hop detour.
+
+        Inflating the link from satellite 0 to its cross-plane neighbour
+        ``east`` makes the latency-optimal path to ``east`` a detour round
+        a +Grid square (e.g. 0 -> 1 -> east of 1 -> east), through a
+        satellite two hops out, beyond the radius of 1. The bounded row
+        must still carry the detour's latency, not the direct link's.
+        """
+        per = small_shell.sats_per_plane
+        offset = nearest_cross_plane_offset(small_shell)
+        east, east_of_ahead = per + offset % per, per + (1 + offset) % per
+        core = fastcore.build_core(build_walker_delta(small_shell), 0.0)
+        topo = core.topology
+        direct_link = next(
+            i
+            for i, (a, b) in enumerate(zip(topo.link_a, topo.link_b))
+            if {int(a), int(b)} == {0, east}
+        )
+        mult = np.ones(topo.num_links)
+        mult[direct_link] = 1000.0
+        degraded = fastcore.degrade_core(core, mult)
+        hops, lats, _, _ = _assert_bounded_matches(degraded, [0], None, 1, method)
+        assert hops[0, east] == 1
+        assert hops[0, east_of_ahead] == fastcore.HOP_UNREACHABLE
+        assert lats[0, east] < degraded.link_latency_ms[direct_link] / 100.0
+
+    def test_memo_keeps_bounded_and_unbounded_apart(self, small_constellation):
+        core = fastcore.build_core(small_constellation, 0.0)
+        bounded = fastcore.single_source(core, 5, max_hops=1)
+        full = fastcore.single_source(core, 5)
+        assert fastcore.single_source(core, 5, max_hops=1)[0] is bounded[0]
+        assert np.isinf(bounded[1]).sum() > np.isinf(full[1]).sum()
+        batch_hops, batch_lats = fastcore.single_source_batch(
+            core, [5, 5], max_hops=1
+        )
+        np.testing.assert_array_equal(batch_hops[1], bounded[0])
+        np.testing.assert_array_equal(batch_lats[1], bounded[1])
+
+    def test_negative_radius_raises(self, small_snapshot):
+        with pytest.raises(RoutingError):
+            fastcore.single_source_batch(small_snapshot.core, [0], max_hops=-1)
 
 
 class TestBatchedVisibility:
