@@ -131,6 +131,12 @@ def _count_arg(flag: str) -> Callable:
     return _checked(flag, int, lambda v: v >= 1, "a positive integer")
 
 
+def _positive_finite_arg(flag: str) -> Callable:
+    return _checked(
+        flag, float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"
+    )
+
+
 def _parse_fractions(text: str) -> tuple[float, ...]:
     """Validate ``--fractions`` eagerly, before any experiment work runs."""
     fractions = []
@@ -169,9 +175,9 @@ def _parse_loads(text: str) -> tuple[float, ...]:
             raise FaultConfigError(
                 f"--loads expects comma-separated numbers, got {token!r}"
             ) from None
-        if value <= 0.0:
+        if not (math.isfinite(value) and value > 0.0):
             raise FaultConfigError(
-                f"--loads multipliers must be positive, got {value:g}"
+                f"--loads multipliers must be finite and positive, got {value:g}"
             )
         loads.append(value)
     if not loads:
@@ -575,13 +581,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_cmd.add_argument(
         "--capacity",
-        type=float,
+        type=_positive_finite_arg("--capacity"),
         default=6.0,
         help="per-satellite sustainable requests per slot (overload sweep)",
     )
     run_cmd.add_argument(
         "--ground-capacity",
-        type=float,
+        type=_positive_finite_arg("--ground-capacity"),
         default=40.0,
         help="ground-tier sustainable requests per slot (overload sweep)",
     )

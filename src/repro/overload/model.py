@@ -30,6 +30,7 @@ requests with the same delays, scalar or batched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -210,8 +211,11 @@ class OverloadModel:
     _state_counts: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if self.capacity_per_slot <= 0 or self.ground_capacity_per_slot <= 0:
-            raise ConfigurationError("capacities must be positive")
+        for capacity in (self.capacity_per_slot, self.ground_capacity_per_slot):
+            if not (math.isfinite(capacity) and capacity > 0):
+                raise ConfigurationError(
+                    f"capacities must be finite and positive, got {capacity}"
+                )
         if self.queue_service_ms < 0 or self.max_queue_delay_ms < 0:
             raise ConfigurationError("queue service time and cap must be >= 0")
         if not 0.0 < self.max_utilisation < 1.0:

@@ -1326,15 +1326,8 @@ class SpaceCdnSystem:
         num = len(object_ids)
         num_u = vb.num_points
 
-        acc_of_u = np.full(num_u, -1, dtype=np.int64)
-        slant_of_u = np.zeros(num_u)
-        for i in range(num_u):
-            order = vb.order[i]
-            if order.size:
-                a = int(order[0])
-                acc_of_u[i] = a
-                slant_of_u[i] = vb.slant_ranges_km[i, a]
-        seen_acc = sorted({int(a) for a in acc_of_u if a >= 0})
+        acc_of_u = np.where(vb.count > 0, vb.order[:, 0], -1)
+        seen_acc = np.unique(acc_of_u[acc_of_u >= 0]).tolist()
         if seen_acc:
             hops_m, lats_m = fastcore.single_source_batch(
                 core, seen_acc, snapshot.active_mask, max_hops=self.max_hops
@@ -1361,14 +1354,9 @@ class SpaceCdnSystem:
             o_idx[r] = i
         holders_m = self._index.holders_matrix(unique_oids, n)
 
-        # Padded per-user visibility order for the direct-visible rung scan;
-        # column 0 (the access satellite) is excluded, as in scalar serving.
-        vmax = max((order.size for order in vb.order), default=0)
-        opad = np.zeros((num_u, max(vmax, 1)), dtype=np.int64)
-        valid = np.zeros((num_u, max(vmax, 1)), dtype=bool)
-        for i, order in enumerate(vb.order):
-            opad[i, : order.size] = order
-            valid[i, : order.size] = True
+        # The direct-visible rung scans the padded visibility table past
+        # column 0 (the access satellite), as scalar serving does.
+        valid = np.arange(vb.order.shape[1]) < vb.count[:, None]
         valid[:, 0] = False
 
         num_o = len(unique_oids)
@@ -1380,18 +1368,19 @@ class SpaceCdnSystem:
         p_src = np.full(p_total, 3, dtype=np.int8)  # 1 direct / 2 isl / 3 ground
         p_sat = np.full(p_total, -1, dtype=np.int64)
         p_hops = np.zeros(p_total, dtype=np.int64)
-        p_lat = np.zeros(p_total)
+        p_dist = np.zeros(p_total)  # direct: slant km / isl: one-way ms
         chunk = 2048  # bounds the (chunk, N) work arrays to a few tens of MB
         if seen_acc:
             for lo in range(0, p_total, chunk):
                 hi = min(lo + chunk, p_total)
                 cu = pair_u[lo:hi]
                 hp = holders_m[pair_o[lo:hi]]  # (C, N) cohort-start copy
-                rows_ord = opad[cu]
+                rows_ord = vb.order[cu]
                 vis_hold = np.take_along_axis(hp, rows_ord, axis=1) & valid[cu]
                 has_direct = vis_hold.any(axis=1)
                 arange_c = np.arange(hi - lo)
-                direct_sat = rows_ord[arange_c, vis_hold.argmax(axis=1)]
+                direct_col = vis_hold.argmax(axis=1)
+                direct_sat = rows_ord[arange_c, direct_col]
                 rowsel = accrow_of_u[cu]
                 safe_row = np.where(rowsel >= 0, rowsel, 0)
                 hops_c = hops_m[safe_row]
@@ -1404,9 +1393,13 @@ class SpaceCdnSystem:
                 p_sat[lo:hi] = np.where(
                     has_direct, direct_sat, np.where(found, best, -1)
                 )
+                direct_rows = np.flatnonzero(has_direct)
+                p_dist[lo + direct_rows] = vb.slant_km[
+                    cu[direct_rows], direct_col[direct_rows]
+                ]
                 isl_rows = np.flatnonzero(~has_direct & found)
                 p_hops[lo + isl_rows] = hops_c[isl_rows, best[isl_rows]]
-                p_lat[lo + isl_rows] = lats_c[isl_rows, best[isl_rows]]
+                p_dist[lo + isl_rows] = lats_c[isl_rows, best[isl_rows]]
 
         dirty = self._index.dirty_objects
         think = CDN_SERVER_THINK_TIME_MS
@@ -1415,14 +1408,14 @@ class SpaceCdnSystem:
             t = times[r]
             self.catalog.get(oid)  # validate early, in request order
             u = int(u_idx[r])
-            if vb.order[u].size == 0:
+            if vb.count[u] == 0:
                 user = users[r]
                 raise ConfigurationError(
                     f"no satellite visible from "
                     f"({user.lat_deg:.1f}, {user.lon_deg:.1f})"
                 )
             acc = int(acc_of_u[u])
-            access_rtt = 2.0 * access_latency_ms(float(slant_of_u[u]))
+            access_rtt = 2.0 * access_latency_ms(float(vb.slant_km[u, 0]))
 
             # Rung 1: the access satellite's cache, straight off the real
             # cache (also records the hit/miss and the LRU touch scalar
@@ -1439,7 +1432,7 @@ class SpaceCdnSystem:
                 continue
 
             if oid in dirty:
-                src, sat, hops, one_way = self._healthy_decision_from_rows(
+                src, sat, hops, dist = self._healthy_decision_from_rows(
                     oid, u, vb, accrow_of_u, hops_m, lats_m
                 )
             else:
@@ -1447,14 +1440,11 @@ class SpaceCdnSystem:
                 src = int(p_src[p])
                 sat = int(p_sat[p])
                 hops = int(p_hops[p])
-                one_way = float(p_lat[p])
+                dist = float(p_dist[p])
 
             if src == 1:
                 self.cache_of(sat).get(oid)  # count the hit
-                rtt = (
-                    2.0 * access_latency_ms(float(vb.slant_ranges_km[u, sat]))
-                    + think
-                )
+                rtt = 2.0 * access_latency_ms(dist) + think
                 if counts is not None:
                     counts[("direct-visible", "served")] += 1
                 results.append(
@@ -1465,7 +1455,7 @@ class SpaceCdnSystem:
                 )
             elif src == 2:
                 self.cache_of(sat).get(oid)  # count the remote hit
-                rtt = access_rtt + 2.0 * one_way + think
+                rtt = access_rtt + 2.0 * dist + think
                 if counts is not None:
                     counts[("isl", "served")] += 1
                 results.append(
@@ -1499,16 +1489,16 @@ class SpaceCdnSystem:
         Mirrors scalar :meth:`_serve_healthy` below the access rung:
         first directly visible holder in ascending slant order, else masked
         nearest ISL holder from the access satellite's precomputed routing
-        rows, else ground. Returns ``(src, satellite, hops, one_way_ms)``
-        with ``src`` using the provisional encoding (1/2/3).
+        rows, else ground. Returns ``(src, satellite, hops, dist)`` with
+        ``src`` using the provisional encoding (1/2/3) and ``dist`` the
+        direct satellite's slant km or the ISL holder's one-way ms.
         """
         holders = self._index.holder_set(object_id)
         if holders:
-            order = vb.order[u]
-            for cand in order[1:]:
-                ci = int(cand)
-                if ci in holders:
-                    return 1, ci, 0, 0.0
+            k = int(vb.count[u])
+            for col, cand in enumerate(vb.order[u, 1:k].tolist(), start=1):
+                if cand in holders:
+                    return 1, cand, 0, float(vb.slant_km[u, col])
             row = int(accrow_of_u[u])
             found = nearest_cached_from_rows(
                 hops_m[row], lats_m[row], holders, self.max_hops, min_hops=1
@@ -1540,14 +1530,7 @@ class SpaceCdnSystem:
         transient losses are deterministic in request order) and runs the
         exact scalar code over the precomputed rows.
         """
-        live_of_u = [
-            [
-                sat
-                for sat in vb.visible_list(i)
-                if degraded.has_satellite(sat.index)
-            ]
-            for i in range(vb.num_points)
-        ]
+        live_of_u = vb.visible_lists(degraded.active_mask)
         accs = sorted({lv[0].index for lv in live_of_u if lv})
         row_of_acc: dict[int, int] = {}
         if accs:
@@ -1602,14 +1585,7 @@ class SpaceCdnSystem:
         :class:`~repro.errors.UnavailableError`) become ``None`` slots
         under ``continue_on_unavailable``.
         """
-        live_of_u = [
-            [
-                sat
-                for sat in vb.visible_list(i)
-                if degraded.has_satellite(sat.index)
-            ]
-            for i in range(vb.num_points)
-        ]
+        live_of_u = vb.visible_lists(degraded.active_mask)
         accs = sorted({lv[0].index for lv in live_of_u if lv})
         row_of_acc: dict[int, int] = {}
         if accs:

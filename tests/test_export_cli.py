@@ -266,6 +266,17 @@ class TestExitCodes:
         assert code == EXIT_FAULT_CONFIG == 4
         assert "at least one value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("loads", ["nan", "inf", "1.0,-inf", "0.5,NaN"])
+    def test_non_finite_loads_exit_4(self, loads, capsys):
+        code = main(
+            ["run", "overload", "--shell", "small", "--requests", "5",
+             "--loads", loads]
+        )
+        assert code == EXIT_FAULT_CONFIG == 4
+        err = capsys.readouterr().err
+        assert "must be finite and positive" in err
+        assert "Traceback" not in err
+
     def test_runner_flags_require_out_dir(self, capsys):
         code = main(["run", "figure8", "--resume"])
         assert code == EXIT_ERROR == 2
@@ -280,6 +291,17 @@ class TestExitCodes:
             (["run", "figure7", "--samples", "0"], "--samples must be a positive"),
             (["run", "figure8", "--users", "-2"], "--users must be a positive"),
             (["aim", "--seed", "-1", "--out", "x.csv"], "--seed must be a non-negative"),
+            (["run", "overload", "--capacity", "nan"], "--capacity must be a finite"),
+            (["run", "overload", "--capacity", "inf"], "--capacity must be a finite"),
+            (["run", "overload", "--capacity", "0"], "--capacity must be a finite"),
+            (
+                ["run", "overload", "--ground-capacity", "nan"],
+                "--ground-capacity must be a finite",
+            ),
+            (
+                ["run", "overload", "--ground-capacity=-inf"],
+                "--ground-capacity must be a finite",
+            ),
         ],
     )
     def test_out_of_range_flags_exit_2_before_any_work(

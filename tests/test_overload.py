@@ -199,6 +199,13 @@ class TestOverloadModel:
         with pytest.raises(ConfigurationError):
             OverloadModel(seed=-1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_rejects_non_finite_capacities(self, bad):
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            OverloadModel(capacity_per_slot=bad)
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            OverloadModel(ground_capacity_per_slot=bad)
+
     @staticmethod
     def model(**kwargs):
         kwargs.setdefault("capacity_per_slot", 10.0)

@@ -381,10 +381,11 @@ class TestBatchKernels:
     def test_visibility_batch_bit_equal_to_scalar(self, small_constellation):
         points = USERS[:4]
         for t in (0.0, 120.0):
-            vb = visible_satellites_batch(small_constellation, points, t)
-            for p, point in enumerate(points):
+            views = visible_satellites_batch(
+                small_constellation, points, t
+            ).visible_lists()
+            for point, batch in zip(points, views):
                 scalar = visible_satellites(small_constellation, point, t)
-                batch = vb.visible_list(p)
                 assert [s.index for s in batch] == [s.index for s in scalar]
                 assert [s.elevation_deg for s in batch] == [
                     s.elevation_deg for s in scalar
