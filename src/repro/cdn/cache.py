@@ -201,10 +201,6 @@ class HoldersIndex:
         """Satellites currently caching ``object_id`` (empty when none)."""
         return frozenset(self._holders.get(object_id, ()))
 
-    def holder_set(self, object_id: str) -> set[int] | None:
-        """The live holder set (internal view; do not mutate), or ``None``."""
-        return self._holders.get(object_id)
-
     def _touch_view(self, object_id: str, satellite: int, present: bool) -> None:
         row = self._view_rows.get(object_id)
         if row is None:

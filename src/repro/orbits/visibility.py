@@ -208,9 +208,16 @@ def visible_satellites(
     point: GeoPoint,
     t_s: float,
     min_elevation_deg: float = MIN_ELEVATION_USER_DEG,
+    *,
+    positions: np.ndarray | None = None,
 ) -> list[VisibleSatellite]:
-    """All satellites usable from ``point``, sorted by ascending slant range."""
-    sat = constellation.positions_ecef(t_s)
+    """All satellites usable from ``point``, sorted by ascending slant range.
+
+    ``positions`` is the constellation's ``(N, 3)`` ECEF positions at
+    ``t_s`` when the caller already holds them (a snapshot's
+    ``positions``); without it they are propagated here.
+    """
+    sat = constellation.positions_ecef(t_s) if positions is None else positions
     return _visibility(sat, [point], min_elevation_deg).visible_lists()[0]
 
 
@@ -219,6 +226,8 @@ def visible_satellites_batch(
     points: Sequence[GeoPoint],
     t_s: float,
     min_elevation_deg: float = MIN_ELEVATION_USER_DEG,
+    *,
+    positions: np.ndarray | None = None,
 ) -> VisibilityBatch:
     """Vectorised :func:`visible_satellites` over many ground points.
 
@@ -226,11 +235,11 @@ def visible_satellites_batch(
     cohort, and :func:`visible_satellites` runs the same kernel for one
     point, so row ``p`` equals that function's list for ``points[p]`` bit
     for bit — the batched serve path leans on that agreement for
-    element-wise equivalence with scalar serving.
+    element-wise equivalence with scalar serving. ``positions`` is as for
+    :func:`visible_satellites`.
     """
-    return _visibility(
-        constellation.positions_ecef(t_s), points, min_elevation_deg
-    )
+    sat = constellation.positions_ecef(t_s) if positions is None else positions
+    return _visibility(sat, points, min_elevation_deg)
 
 
 def nearest_visible_satellites(

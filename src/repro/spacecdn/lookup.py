@@ -60,9 +60,9 @@ def nearest_cached_from_rows(
     """:func:`nearest_cached_satellite` over precomputed routing rows.
 
     ``hops``/``latencies`` are the ``(N,)`` single-source rows of the access
-    satellite (already masked for failures by the routing kernel). The
-    batched serve path holds these rows in per-rung matrices and calls this
-    for the handful of requests whose holder sets changed mid-cohort.
+    satellite (already masked for failures by the routing kernel). This is
+    the reference the batched :func:`nearest_cached_batch` is tested
+    against.
     """
     num_nodes = hops.shape[0]
     candidates = np.fromiter(
@@ -85,34 +85,91 @@ def nearest_cached_from_rows(
     return best, int(hops[best]), float(latencies[best])
 
 
-def nearest_cached_batch(
+@dataclass(frozen=True)
+class HopBalls:
+    """Every access satellite's ISL candidates, nearest first, as a compact table.
+
+    Row ``a`` holds the satellites within ``[min_hops, max_hops]`` hops of
+    access row ``a`` that have a finite latency, sorted by (one-way ISL
+    latency, satellite index): ``sat[a, :count[a]]`` with the aligned
+    ``hops`` and ``lat``. Columns at and beyond ``count[a]`` are padding
+    (satellite 0, ``ok`` False). The table is ``(A, B)`` with ``B`` the
+    widest ball (at least 1), never ``(A, N)``.
+    """
+
+    sat: np.ndarray
+    """``(A, B)`` int64 satellite indices, ascending (latency, index)."""
+    hops: np.ndarray
+    """``(A, B)`` ISL hop count of each ``sat`` entry."""
+    lat: np.ndarray
+    """``(A, B)`` one-way ISL latency of each ``sat`` entry (ms)."""
+    count: np.ndarray
+    """``(A,)`` int64 ball size per row."""
+    ok: np.ndarray
+    """``(A, B)`` bool, True on the first ``count[a]`` columns of row ``a``."""
+
+
+def hop_balls(
     hops: np.ndarray,
     latencies: np.ndarray,
-    holders: np.ndarray,
     max_hops: int,
     min_hops: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`nearest_cached_satellite` over aligned request rows.
+) -> HopBalls:
+    """The :class:`HopBalls` table of ``(A, N)`` single-source routing rows.
 
-    ``hops``/``latencies`` are ``(R, N)`` routing rows (request ``r``'s
-    access satellite's single-source pass) and ``holders`` the ``(R, N)``
-    boolean holders bitmap rows. Returns ``(found, best)``: ``found[r]``
-    whether any in-range holder exists, ``best[r]`` its satellite index
-    (meaningful only where ``found``). Ties on latency resolve to the
-    lowest satellite index — ``argmin`` over the inf-masked row returns the
-    first minimum, matching the scalar sorted-candidate scan.
+    Keeps exactly the entries :func:`nearest_cached_from_rows` accepts as
+    candidates. Ordering each ball by (latency, index) makes the first
+    holder along a row the holder that function picks: the cheapest, and
+    on an exact latency tie the lowest index.
     """
     eligible = (
-        holders
-        & (hops >= min_hops)
+        (hops >= min_hops)
         & (hops != fastcore.HOP_UNREACHABLE)
         & (hops <= max_hops)
         & np.isfinite(latencies)
     )
-    masked = np.where(eligible, latencies, np.inf)
-    best = masked.argmin(axis=1)
-    found = eligible[np.arange(len(best)), best]
-    return found, best
+    rows, cols = np.nonzero(eligible)
+    lat = latencies[rows, cols]
+    pick = np.lexsort((cols, lat, rows))
+    rows, cols, lat = rows[pick], cols[pick], lat[pick]
+    count = np.bincount(rows, minlength=len(hops))
+    width = max(1, int(count.max(initial=0)))
+    column = np.arange(len(rows)) - (np.cumsum(count) - count)[rows]
+    sat = np.zeros((len(hops), width), dtype=np.int64)
+    ball_hops = np.zeros((len(hops), width), dtype=hops.dtype)
+    ball_lat = np.full((len(hops), width), np.inf)
+    sat[rows, column] = cols
+    ball_hops[rows, column] = hops[rows, cols]
+    ball_lat[rows, column] = lat
+    return HopBalls(
+        sat=sat,
+        hops=ball_hops,
+        lat=ball_lat,
+        count=count,
+        ok=np.arange(width) < count[:, None],
+    )
+
+
+def nearest_cached_batch(
+    candidates: np.ndarray,
+    usable: np.ndarray,
+    holders: np.ndarray,
+    objects: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first holder along each request's candidate row.
+
+    ``candidates`` is ``(C, K)`` satellite indices, each row in order of
+    preference (a :class:`HopBalls` row: nearest first), and ``usable``
+    the aligned mask of real entries. Request ``c`` looks for holders of
+    the object in row ``objects[c]`` of the ``(O, N)`` holders bitmap
+    ``holders``; over a hop ball the first one is what
+    :func:`nearest_cached_from_rows` returns. The work is one ``(C, K)``
+    gather. Returns ``(found, column)``, each ``(C,)``; ``column`` is
+    meaningful only where ``found``.
+    """
+    hit = holders[objects[:, None], candidates] & usable
+    column = hit.argmax(axis=1)
+    return hit[np.arange(len(column)), column], column
 
 
 def ranked_cached_satellites(

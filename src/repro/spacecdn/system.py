@@ -32,8 +32,8 @@ from repro.overload import GROUND_TARGET, OverloadModel
 from repro.orbits.walker import Constellation
 from repro.spacecdn.lookup import (
     LookupSource,
+    hop_balls,
     nearest_cached_batch,
-    nearest_cached_from_rows,
     nearest_cached_satellite,
     ranked_cached_from_rows,
     ranked_cached_satellites,
@@ -210,12 +210,13 @@ class SpaceCdnSystem:
 
     def cache_of(self, satellite: int) -> Cache:
         """The on-board cache of one satellite (created lazily)."""
+        cache = self._caches.get(satellite)
+        if cache is not None:
+            return cache  # only in-range satellites are ever stored
         if not 0 <= satellite < len(self.constellation):
             raise ConfigurationError(f"satellite {satellite} out of range")
-        cache = self._caches.get(satellite)
-        if cache is None:
-            cache = LruCache(self.cache_bytes_per_satellite)
-            self._caches[satellite] = cache
+        cache = LruCache(self.cache_bytes_per_satellite)
+        self._caches[satellite] = cache
         return cache
 
     def holders_of(self, object_id: str) -> frozenset[int]:
@@ -458,7 +459,11 @@ class SpaceCdnSystem:
         from repro.orbits.visibility import visible_satellites
 
         visible = visible_satellites(
-            self.constellation, user, snapshot.t_s, self.min_elevation_deg
+            self.constellation,
+            user,
+            snapshot.t_s,
+            self.min_elevation_deg,
+            positions=snapshot.positions,
         )
         if not visible:
             raise ConfigurationError(
@@ -600,7 +605,11 @@ class SpaceCdnSystem:
         from repro.orbits.visibility import visible_satellites
 
         visible = visible_satellites(
-            self.constellation, user, snapshot.t_s, self.min_elevation_deg
+            self.constellation,
+            user,
+            snapshot.t_s,
+            self.min_elevation_deg,
+            positions=snapshot.positions,
         )
         live_visible = [s for s in visible if degraded.has_satellite(s.index)]
         return self._serve_degraded_prepared(
@@ -798,7 +807,11 @@ class SpaceCdnSystem:
         from repro.orbits.visibility import visible_satellites
 
         visible = visible_satellites(
-            self.constellation, user, snapshot.t_s, self.min_elevation_deg
+            self.constellation,
+            user,
+            snapshot.t_s,
+            self.min_elevation_deg,
+            positions=snapshot.positions,
         )
         live_visible = [s for s in visible if degraded.has_satellite(s.index)]
         return self._serve_overloaded_prepared(
@@ -1234,7 +1247,11 @@ class SpaceCdnSystem:
                 unique_users.append(user)
             u_idx[r] = i
         vb = visible_satellites_batch(
-            self.constellation, unique_users, snapshot.t_s, self.min_elevation_deg
+            self.constellation,
+            unique_users,
+            snapshot.t_s,
+            self.min_elevation_deg,
+            positions=snapshot.positions,
         )
 
         rec = get_recorder()
@@ -1308,38 +1325,48 @@ class SpaceCdnSystem:
         counts: Counter | None,
         results: list,
     ) -> None:
-        """The fault-free cohort: vectorised decisions, in-order application.
+        """The fault-free cohort: compact-table decisions, in-order application.
 
-        Three phases. (1) Per-cohort matrices: access pick and routing rows
-        per unique user, the holders bitmap over the cohort's unique
-        objects. (2) A provisional vectorised ladder decision per unique
-        ``(user, object)`` pair against cohort-start holders — masked
-        first-hit for the direct-visible rung, masked argmin for the ISL
-        rung. (3) The in-order apply loop performing the *same* cache
-        operations as scalar serving; a request whose object's holders
-        changed mid-cohort (pull-through store or eviction, tracked by the
-        index's dirty set) ignores its provisional decision and re-resolves
-        from the live index against the same routing rows.
+        Three phases. (1) Per-cohort tables: each unique user's ladder row
+        below the access rung (its visible satellites past the access
+        column, then its access satellite's hop ball from
+        :func:`hop_balls`) and the holders bitmap over the cohort's unique
+        objects. (2) One decision expression per unique ``(user, object)``
+        pair against cohort-start holders: the first holder along the
+        ladder row (:func:`nearest_cached_batch`) is the direct-visible or
+        the ISL rung; none is the ground. (3) The in-order apply loop
+        performing the *same* cache operations as scalar serving; a request
+        whose object's holders changed mid-cohort (pull-through store or
+        eviction, tracked by the index's dirty set) runs the same
+        expression again on its object's row of the live bitmap.
         """
         core = snapshot.core
-        n = core.num_nodes
         num = len(object_ids)
-        num_u = vb.num_points
 
         acc_of_u = np.where(vb.count > 0, vb.order[:, 0], -1)
         seen_acc = np.unique(acc_of_u[acc_of_u >= 0]).tolist()
+
+        # Each user's ladder below the access rung, in order of preference:
+        # its visible satellites past column 0 (the access satellite), as
+        # scalar serving scans them, then its access satellite's hop ball.
+        # Columns hold (satellite, hops, dist): dist is the slant km on the
+        # direct-visible part and the one-way ISL ms on the ball part.
+        width = vb.order.shape[1]
+        valid = np.arange(width) < vb.count[:, None]
+        valid[:, 0] = False
+        parts = [(vb.order, valid, np.zeros_like(vb.order), vb.slant_km)]
         if seen_acc:
             hops_m, lats_m = fastcore.single_source_batch(
                 core, seen_acc, snapshot.active_mask, max_hops=self.max_hops
             )
-        else:
-            hops_m = np.empty((0, n), dtype=np.int32)
-            lats_m = np.empty((0, n))
-        row_of_acc = {a: i for i, a in enumerate(seen_acc)}
-        accrow_of_u = np.fromiter(
-            (row_of_acc.get(int(a), -1) for a in acc_of_u),
-            dtype=np.int64,
-            count=num_u,
+            balls = hop_balls(hops_m, lats_m, self.max_hops, min_hops=1)
+            row = np.searchsorted(seen_acc, acc_of_u)  # blind users: 0, masked
+            sighted = (acc_of_u >= 0)[:, None]
+            parts.append(
+                (balls.sat[row], balls.ok[row] & sighted, balls.hops[row], balls.lat[row])
+            )
+        ladder_sat, ladder_ok, ladder_hops, ladder_dist = (
+            np.hstack(column) for column in zip(*parts)
         )
 
         o_of: dict[str, int] = {}
@@ -1352,70 +1379,46 @@ class SpaceCdnSystem:
                 o_of[oid] = i
                 unique_oids.append(oid)
             o_idx[r] = i
-        holders_m = self._index.holders_matrix(unique_oids, n)
+        holders_m = self._index.holders_matrix(unique_oids, core.num_nodes)
 
-        # The direct-visible rung scans the padded visibility table past
-        # column 0 (the access satellite), as scalar serving does.
-        valid = np.arange(vb.order.shape[1]) < vb.count[:, None]
-        valid[:, 0] = False
+        def decide(pu: np.ndarray, po: np.ndarray) -> tuple[list, ...]:
+            """``(src, satellite, hops, dist)`` lists for user/object pairs.
+
+            ``src`` is 1 direct / 2 isl / 3 ground; the other three are
+            meaningful only below 3. Reads ``holders_m`` as it stands.
+            """
+            found, col = nearest_cached_batch(
+                ladder_sat[pu], ladder_ok[pu], holders_m, po
+            )
+            src = np.where(found, np.where(col < width, 1, 2), 3)
+            return (
+                src.tolist(),
+                ladder_sat[pu, col].tolist(),
+                ladder_hops[pu, col].tolist(),
+                ladder_dist[pu, col].tolist(),
+            )
 
         num_o = len(unique_oids)
-        codes = u_idx * num_o + o_idx
-        pair_codes, pair_of_r = np.unique(codes, return_inverse=True)
-        pair_u = (pair_codes // num_o).astype(np.int64)
-        pair_o = (pair_codes % num_o).astype(np.int64)
-        p_total = len(pair_codes)
-        p_src = np.full(p_total, 3, dtype=np.int8)  # 1 direct / 2 isl / 3 ground
-        p_sat = np.full(p_total, -1, dtype=np.int64)
-        p_hops = np.zeros(p_total, dtype=np.int64)
-        p_dist = np.zeros(p_total)  # direct: slant km / isl: one-way ms
-        chunk = 2048  # bounds the (chunk, N) work arrays to a few tens of MB
-        if seen_acc:
-            for lo in range(0, p_total, chunk):
-                hi = min(lo + chunk, p_total)
-                cu = pair_u[lo:hi]
-                hp = holders_m[pair_o[lo:hi]]  # (C, N) cohort-start copy
-                rows_ord = vb.order[cu]
-                vis_hold = np.take_along_axis(hp, rows_ord, axis=1) & valid[cu]
-                has_direct = vis_hold.any(axis=1)
-                arange_c = np.arange(hi - lo)
-                direct_col = vis_hold.argmax(axis=1)
-                direct_sat = rows_ord[arange_c, direct_col]
-                rowsel = accrow_of_u[cu]
-                safe_row = np.where(rowsel >= 0, rowsel, 0)
-                hops_c = hops_m[safe_row]
-                lats_c = lats_m[safe_row]
-                found, best = nearest_cached_batch(
-                    hops_c, lats_c, hp, self.max_hops, min_hops=1
-                )
-                found &= rowsel >= 0
-                p_src[lo:hi] = np.where(has_direct, 1, np.where(found, 2, 3))
-                p_sat[lo:hi] = np.where(
-                    has_direct, direct_sat, np.where(found, best, -1)
-                )
-                direct_rows = np.flatnonzero(has_direct)
-                p_dist[lo + direct_rows] = vb.slant_km[
-                    cu[direct_rows], direct_col[direct_rows]
-                ]
-                isl_rows = np.flatnonzero(~has_direct & found)
-                p_hops[lo + isl_rows] = hops_c[isl_rows, best[isl_rows]]
-                p_dist[lo + isl_rows] = lats_c[isl_rows, best[isl_rows]]
+        pair_codes, pair_of_r = np.unique(u_idx * num_o + o_idx, return_inverse=True)
+        p_src, p_sat, p_hops, p_dist = decide(pair_codes // num_o, pair_codes % num_o)
 
         dirty = self._index.dirty_objects
         think = CDN_SERVER_THINK_TIME_MS
-        for r in range(num):
+        visible_count = vb.count.tolist()
+        access_of_u = acc_of_u.tolist()
+        access_km = vb.slant_km[:, 0].tolist()
+        for r, (u, p) in enumerate(zip(u_idx.tolist(), pair_of_r.tolist())):
             oid = object_ids[r]
             t = times[r]
             self.catalog.get(oid)  # validate early, in request order
-            u = int(u_idx[r])
-            if vb.count[u] == 0:
+            if visible_count[u] == 0:
                 user = users[r]
                 raise ConfigurationError(
                     f"no satellite visible from "
                     f"({user.lat_deg:.1f}, {user.lon_deg:.1f})"
                 )
-            acc = int(acc_of_u[u])
-            access_rtt = 2.0 * access_latency_ms(float(vb.slant_km[u, 0]))
+            acc = access_of_u[u]
+            access_rtt = 2.0 * access_latency_ms(access_km[u])
 
             # Rung 1: the access satellite's cache, straight off the real
             # cache (also records the hit/miss and the LRU touch scalar
@@ -1432,15 +1435,11 @@ class SpaceCdnSystem:
                 continue
 
             if oid in dirty:
-                src, sat, hops, dist = self._healthy_decision_from_rows(
-                    oid, u, vb, accrow_of_u, hops_m, lats_m
+                src, sat, hops, dist = (
+                    column[0] for column in decide(u_idx[r : r + 1], o_idx[r : r + 1])
                 )
             else:
-                p = pair_of_r[r]
-                src = int(p_src[p])
-                sat = int(p_sat[p])
-                hops = int(p_hops[p])
-                dist = float(p_dist[p])
+                src, sat, hops, dist = p_src[p], p_sat[p], p_hops[p], p_dist[p]
 
             if src == 1:
                 self.cache_of(sat).get(oid)  # count the hit
@@ -1474,38 +1473,6 @@ class SpaceCdnSystem:
                         self.ground_rtt_ms, span=False,
                     )
                 )
-
-    def _healthy_decision_from_rows(
-        self,
-        object_id: str,
-        u: int,
-        vb,
-        accrow_of_u: np.ndarray,
-        hops_m: np.ndarray,
-        lats_m: np.ndarray,
-    ) -> tuple[int, int, int, float]:
-        """Re-resolve one dirty request from the live index.
-
-        Mirrors scalar :meth:`_serve_healthy` below the access rung:
-        first directly visible holder in ascending slant order, else masked
-        nearest ISL holder from the access satellite's precomputed routing
-        rows, else ground. Returns ``(src, satellite, hops, dist)`` with
-        ``src`` using the provisional encoding (1/2/3) and ``dist`` the
-        direct satellite's slant km or the ISL holder's one-way ms.
-        """
-        holders = self._index.holder_set(object_id)
-        if holders:
-            k = int(vb.count[u])
-            for col, cand in enumerate(vb.order[u, 1:k].tolist(), start=1):
-                if cand in holders:
-                    return 1, cand, 0, float(vb.slant_km[u, col])
-            row = int(accrow_of_u[u])
-            found = nearest_cached_from_rows(
-                hops_m[row], lats_m[row], holders, self.max_hops, min_hops=1
-            )
-            if found is not None:
-                return 2, found[0], found[1], found[2]
-        return 3, -1, 0, 0.0
 
     def _serve_batch_degraded(
         self,

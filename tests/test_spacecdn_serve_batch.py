@@ -5,8 +5,8 @@ behaviour change: for any cohort, results, stats, cache contents, and the
 holders index must match what the scalar ``serve`` loop produces in the
 same order — healthy and under fault schedules. These tests pin that
 contract, plus the batch kernels it leans on (batched visibility,
-batched single-source routing, the vectorised holder argmin) and the
-incremental holders-index bookkeeping.
+batched single-source routing, the hop balls and their first-holder
+pick) and the incremental holders-index bookkeeping.
 """
 
 import numpy as np
@@ -22,7 +22,12 @@ from repro.geo.coordinates import GeoPoint
 from repro.orbits.elements import ShellConfig
 from repro.orbits.visibility import visible_satellites, visible_satellites_batch
 from repro.orbits.walker import build_walker_delta
-from repro.spacecdn.lookup import nearest_cached_batch, nearest_cached_from_rows
+from repro.spacecdn.lookup import (
+    hop_balls,
+    nearest_cached_batch,
+    nearest_cached_from_rows,
+    ranked_cached_from_rows,
+)
 from repro.spacecdn.system import SpaceCdnSystem
 from repro.topology import fastcore
 from repro.topology.graph import build_snapshot
@@ -423,22 +428,129 @@ class TestBatchKernels:
             np.testing.assert_array_equal(hops_m[i], hops)
             np.testing.assert_array_equal(lats_m[i], lats)
 
-    def test_nearest_cached_batch_matches_rowwise(self):
-        rng = np.random.default_rng(0)
-        n, rows = 30, 12
-        hops = rng.integers(0, 8, size=(rows, n)).astype(np.int32)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_nearest_cached_batch_matches_rowwise(self, seed, rows, n, max_hops):
+        """Every (ball row, object) pair picks what the scalar reference
+        picks. Latencies are small integers, so exact ties are common and
+        the lowest-index tie-break is pinned; hop 0 (the access satellite)
+        is drawn too, and must stay out of the ball."""
+        rng = np.random.default_rng(seed)
+        hops = rng.integers(0, 9, size=(rows, n)).astype(np.int32)
         hops[rng.random((rows, n)) < 0.2] = fastcore.HOP_UNREACHABLE
-        lats = rng.uniform(1.0, 50.0, size=(rows, n))
-        holders = rng.random((rows, n)) < 0.3
-        found, best = nearest_cached_batch(hops, lats, holders, max_hops=5,
-                                           min_hops=1)
+        lats = rng.integers(1, 6, size=(rows, n)).astype(float)
+        lats[rng.random((rows, n)) < 0.1] = np.inf
+        objects = 4
+        holders = rng.random((objects, n)) < rng.uniform(0.05, 0.6)
+        balls = hop_balls(hops, lats, max_hops, min_hops=1)
         for r in range(rows):
-            cache_set = {int(s) for s in np.flatnonzero(holders[r])}
+            ranked = ranked_cached_from_rows(
+                hops[r], lats[r], set(range(n)), max_hops, min_hops=1
+            )
+            k = int(balls.count[r])
+            assert k == len(ranked)
+            assert balls.ok[r].tolist() == [c < k for c in range(balls.ok.shape[1])]
+            assert list(
+                zip(
+                    balls.sat[r, :k].tolist(),
+                    balls.hops[r, :k].tolist(),
+                    balls.lat[r, :k].tolist(),
+                )
+            ) == ranked
+
+        pair_rows = np.repeat(np.arange(rows), objects)
+        pair_objects = np.tile(np.arange(objects), rows)
+        found, col = nearest_cached_batch(
+            balls.sat[pair_rows], balls.ok[pair_rows], holders, pair_objects
+        )
+        sat = balls.sat[pair_rows, col]
+        pair_hops = balls.hops[pair_rows, col]
+        pair_ms = balls.lat[pair_rows, col]
+        for c, (r, o) in enumerate(zip(pair_rows, pair_objects)):
             expected = nearest_cached_from_rows(
-                hops[r], lats[r], cache_set, max_hops=5, min_hops=1
+                hops[r],
+                lats[r],
+                {int(s) for s in np.flatnonzero(holders[o])},
+                max_hops,
+                min_hops=1,
             )
             if expected is None:
-                assert not found[r]
+                assert not found[c]
             else:
-                assert found[r]
-                assert int(best[r]) == expected[0]
+                assert found[c]
+                assert (int(sat[c]), int(pair_hops[c]), float(pair_ms[c])) == expected
+
+
+class TestShell1RegionalCohort:
+    """Shell 1 at ``max_hops=6``: hop balls of 84 satellites, a European
+    user cluster, and caches of about two objects, so pull-through stores
+    and evictions dirty objects mid-cohort and their requests are decided
+    again on the live holders bitmap."""
+
+    @staticmethod
+    def make(constellation, catalog, sizes):
+        system = SpaceCdnSystem(
+            constellation=constellation,
+            catalog=catalog,
+            cache_bytes_per_satellite=2 * int(np.median(sizes)),
+            max_hops=6,
+        )
+        place = np.random.default_rng(11)
+        system.preload(
+            {
+                o.object_id: frozenset(
+                    int(s) for s in place.choice(len(constellation), 24, replace=False)
+                )
+                for o in list(catalog)[:60]
+            }
+        )
+        return system
+
+    def test_regional_cohorts_match_scalar(self, shell1_constellation, monkeypatch):
+        catalog = build_catalog(
+            np.random.default_rng(4), 120, kind_weights={"web": 1.0}
+        )
+        sizes = [o.size_bytes for o in catalog]
+        oids = sorted(o.object_id for o in catalog)
+        rng = np.random.default_rng(8)
+        users = [
+            GeoPoint(float(a), float(b), 0.0)
+            for a, b in zip(rng.uniform(42.0, 54.0, 40), rng.uniform(-5.0, 20.0, 40))
+        ]
+        times = np.sort(rng.uniform(0.0, 120.0, 600)).tolist()
+        picks = rng.integers(len(users), size=600).tolist()
+        ranks = np.minimum(rng.zipf(1.3, size=600) - 1, len(oids) - 1).tolist()
+        requests = [(users[u], oids[o], t) for u, o, t in zip(picks, ranks, times)]
+
+        scalar = self.make(shell1_constellation, catalog, sizes)
+        batched = self.make(shell1_constellation, catalog, sizes)
+        expected = [scalar.serve(user, oid, t) for user, oid, t in requests]
+
+        calls = []
+
+        def spy(candidates, usable, holders, objects):
+            calls.append(len(objects))
+            return nearest_cached_batch(candidates, usable, holders, objects)
+
+        monkeypatch.setattr("repro.spacecdn.system.nearest_cached_batch", spy)
+        actual = []
+        for slot in (0, 1):
+            cohort = [q for q in requests if int(q[2] // 60.0) == slot]
+            actual += batched.serve_batch(*map(list, zip(*cohort)))
+
+        assert actual == expected
+        assert batched.stats == scalar.stats
+        assert cache_state(batched) == cache_state(scalar)
+        assert {o: batched.holders_of(o) for o in oids} == {
+            o: scalar.holders_of(o) for o in oids
+        }
+        # One decision pass per cohort; every further call replays one
+        # dirty request.
+        assert len(calls) > 2
+        sources = {r.source.value for r in actual}
+        assert {"direct-visible", "isl-neighbor", "ground"} <= sources

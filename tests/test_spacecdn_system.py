@@ -60,6 +60,21 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             system.cache_of(99999)
 
+    def test_out_of_range_rejected_once_caches_exist(self, system):
+        """The lookup of an existing cache comes before the range check;
+        an out-of-range satellite must still raise once caches exist."""
+        n = len(system.constellation)
+        for satellite in (-1, n, 99999):
+            with pytest.raises(ConfigurationError):
+                system.cache_of(satellite)
+        system.serve(EQUATOR, "obj-000001", 0.0)  # pull-through makes a cache
+        assert system.cache_of(0) is system.cache_of(0)
+        assert system.cache_of(n - 1) is system.cache_of(n - 1)
+        for satellite in (-1, n, 99999):
+            with pytest.raises(ConfigurationError):
+                system.cache_of(satellite)
+        assert all(0 <= s < n for s in system._caches)
+
 
 class TestColdStart:
     def test_first_request_goes_to_ground(self, system):
